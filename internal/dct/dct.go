@@ -182,36 +182,90 @@ func ForwardTruncated2DInto(dst, tmp, src []float64, h, w, kh, kw int) error {
 	if len(tmp) != h*kw {
 		return fmt.Errorf("dct: tmp length %d does not match %dx%d scratch", len(tmp), h, kw)
 	}
-	forwardTruncatedInto(dst, tmp, src, Basis(h), Basis(w), h, w, kh, kw)
+	forwardTruncatedInto(dst, tmp, src, basisT(h), basisT(w), h, w, kh, kw)
 	return nil
+}
+
+// lanes is how many coefficient sums the kernel advances together.
+const lanes = 8
+
+// basisTCache memoizes the padded transposed bases behind basisT.
+var basisTCache sync.Map // int -> []float64 (N rows of stride(N), row = sample)
+
+// stride rounds n up to a whole number of lanes: the row length of basisT.
+func stride(n int) int { return (n + lanes - 1) / lanes * lanes }
+
+// basisT returns the N×N basis transposed and zero-padded to stride(n)
+// columns: basisT(n)[x*stride(n)+u] = Basis(n)[u*n+x] for u < n, and 0
+// beyond. Row x holds sample x's weight under every frequency, so the
+// kernel reads consecutive frequencies' weights from contiguous memory,
+// and a lane group that runs past the last frequency reads zeros instead
+// of another row.
+func basisT(n int) []float64 {
+	if v, ok := basisTCache.Load(n); ok { //hsd:allow hotlint one atomic read of an immutable memo table; contention-free after first use
+		return v.([]float64)
+	}
+	c, st := Basis(n), stride(n)
+	t := make([]float64, n*st)
+	for u := 0; u < n; u++ {
+		for x := 0; x < n; x++ {
+			t[x*st+u] = c[u*n+x]
+		}
+	}
+	basisTCache.Store(n, t) //hsd:allow hotlint first-use table build; duplicate stores race benignly with identical values
+	return t
 }
 
 // forwardTruncatedInto is the validated kernel behind ForwardTruncated2DInto:
 // rows are transformed against the first kw basis rows into tmp, then
-// columns against the first kh, with the exact per-element summation order
-// of the original ForwardTruncated2D loops.
+// columns against the first kh. chT and cwT are basisT(h) and basisT(w).
+// Every coefficient is its own left-to-right sum, starting from +0 and
+// adding one product per sample in index order; that order fixes every
+// output bit, and the tests pin it against the one-sum-at-a-time loop.
+// Eight coefficients' sums advance together (dot8) because one serial
+// chain stalls on the adder's latency at every step and eight independent
+// chains keep it busy. Lanes past kw or kh sum against the zero padding
+// and are dropped.
+//
 //hsd:noalloc
-func forwardTruncatedInto(dst, tmp, src, ch, cw []float64, h, w, kh, kw int) {
-	// tmp[y][v] for v < kw
+func forwardTruncatedInto(dst, tmp, src, chT, cwT []float64, h, w, kh, kw int) {
+	// tmp[y][v] = Σ_x src[y][x]·Cw[v][x] for v < kw
 	for y := 0; y < h; y++ {
 		row := src[y*w : (y+1)*w]
-		for v := 0; v < kw; v++ {
-			basis := cw[v*w : (v+1)*w]
-			s := 0.0
-			for x, sv := range row {
-				s += sv * basis[x]
-			}
-			tmp[y*kw+v] = s
+		out := tmp[y*kw : (y+1)*kw]
+		for v := 0; v < kw; v += lanes {
+			s := dot8(row, 1, cwT[v:], stride(w), w)
+			copy(out[v:], s[:])
 		}
 	}
-	for u := 0; u < kh; u++ {
-		basis := ch[u*h : (u+1)*h]
-		for v := 0; v < kw; v++ {
-			s := 0.0
-			for y := 0; y < h; y++ {
-				s += basis[y] * tmp[y*kw+v]
+	// dst[u][v] = Σ_y Ch[u][y]·tmp[y][v] for u < kh, v < kw
+	for v := 0; v < kw; v++ {
+		for u := 0; u < kh; u += lanes {
+			s := dot8(tmp[v:], kw, chT[u:], stride(h), h)
+			for j := 0; j < lanes && u+j < kh; j++ {
+				dst[(u+j)*kw+v] = s[j]
 			}
-			dst[u*kw+v] = s
 		}
 	}
+}
+
+// dot8 returns the lane sums Σ_i in[i*step]·bt[i*st+j] for j < lanes, each
+// accumulated from +0 in index order i = 0..n-1.
+//
+//hsd:noalloc
+func dot8(in []float64, step int, bt []float64, st, n int) [lanes]float64 {
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	for i := 0; i < n; i++ {
+		p := in[i*step]
+		b := bt[i*st : i*st+lanes]
+		s0 += p * b[0]
+		s1 += p * b[1]
+		s2 += p * b[2]
+		s3 += p * b[3]
+		s4 += p * b[4]
+		s5 += p * b[5]
+		s6 += p * b[6]
+		s7 += p * b[7]
+	}
+	return [lanes]float64{s0, s1, s2, s3, s4, s5, s6, s7}
 }

@@ -14,6 +14,7 @@ import "fmt"
 //
 // It runs as a parallel worker body via the selector's fan-out, so it is
 // annotated as a hot-path root in its own right.
+//
 //hsd:hotpath
 func SqDist(a, b []float64) (float64, error) {
 	if len(a) != len(b) {

@@ -8,7 +8,6 @@ package feature
 
 import (
 	"fmt"
-	"time"
 
 	"hotspot/internal/dct"
 	"hotspot/internal/geom"
@@ -145,6 +144,7 @@ func (e *BlockEncoder) K() int { return e.k }
 
 // EncodeInto writes the block's K scaled zig-zag coefficients into dst.
 // block must hold blockPx² row-major pixels and dst at least K values.
+//
 //hsd:noalloc
 func (e *BlockEncoder) EncodeInto(dst, block []float64) error {
 	b := e.blockPx
@@ -173,9 +173,6 @@ func ExtractTensor(clip geom.Clip, core geom.Rect, cfg TensorConfig) (*tensor.Te
 	if core.W() != core.H() || core.Empty() {
 		return nil, fmt.Errorf("feature: core %v must be square and non-empty", core)
 	}
-	if !clip.Frame.ContainsRect(core) {
-		return nil, fmt.Errorf("feature: core %v outside clip frame %v", core, clip.Frame)
-	}
 	b, err := cfg.blockSize(core.W())
 	if err != nil {
 		return nil, err
@@ -187,24 +184,36 @@ func ExtractTensor(clip geom.Clip, core geom.Rect, cfg TensorConfig) (*tensor.Te
 	return extractFromImage(coreIm, b, cfg)
 }
 
-// ExtractCoreImage rasterizes a clip and crops its core window — the
-// exact pixel grid ExtractTensor feeds into the blocked DCT. It is split
-// out so online callers (the inference server) can rasterize once, hash
-// the pixels for clip deduplication, and hand the same image to
-// ExtractTensorFromImage without re-rasterizing.
+// ExtractCoreImage rasterizes the core window of a clip — the exact pixel
+// grid ExtractTensor feeds into the blocked DCT. It is split out so online
+// callers (the inference server) can rasterize once, hash the pixels for
+// clip deduplication, and hand the same image to ExtractTensorFromImage
+// without re-rasterizing.
+//
+// Only the core is rasterized: the window is the core snapped down to the
+// frame's pixel grid, and the clip's rects are clipped to it. That is
+// bit-identical to rasterizing the whole frame and cropping, because
+// area-accurate rasterization is per-pixel local (each pixel sums, in rect
+// order, the overlap of each rect with that pixel's own cell, so clipping
+// a rect to a window of whole cells leaves every in-window overlap
+// unchanged). Cost and memory therefore scale with the core, not with the
+// frame, however large a request's frame is.
 func ExtractCoreImage(clip geom.Clip, core geom.Rect, cfg TensorConfig) (*raster.Image, error) {
-	watch := obs.NewStopwatch()
-	im, err := raster.Rasterize(clip, cfg.ResNM)
-	obs.Default().Stage("feature/raster").ObserveDuration(watch.Elapsed())
-	if err != nil {
-		return nil, err
+	if cfg.ResNM <= 0 {
+		return nil, fmt.Errorf("feature: resolution must be positive, got %d", cfg.ResNM)
 	}
-	// Rasterize normalizes the clip to the origin, so core offsets are
-	// relative to the frame's lower-left corner.
-	x0 := (core.X0 - clip.Frame.X0) / cfg.ResNM
-	y0 := (core.Y0 - clip.Frame.Y0) / cfg.ResNM
-	side := core.W() / cfg.ResNM
-	return im.SubImage(x0, y0, x0+side, y0+side)
+	if !clip.Frame.ContainsRect(core) {
+		return nil, fmt.Errorf("feature: core %v outside clip frame %v", core, clip.Frame)
+	}
+	res := cfg.ResNM
+	x0 := clip.Frame.X0 + (core.X0-clip.Frame.X0)/res*res
+	y0 := clip.Frame.Y0 + (core.Y0-clip.Frame.Y0)/res*res
+	side := core.W() / res * res
+	window := geom.R(x0, y0, x0+side, y0+side)
+	watch := obs.NewStopwatch()
+	im, err := raster.Rasterize(geom.NewClip(window, clip.Rects), res)
+	obs.Default().Stage("feature/raster").ObserveDuration(watch.Elapsed())
+	return im, err
 }
 
 // ExtractTensors extracts the feature tensor of every clip's core window,
@@ -222,9 +231,9 @@ func ExtractTensors(clips []geom.Clip, core geom.Rect, cfg TensorConfig, workers
 // extractFromImage runs block-DCT encoding over an already-rasterized core
 // through the shared BlockEncoder — the same kernel the scan engine's
 // block cache runs, which is what makes scan-vs-per-clip bit parity
-// structural rather than coincidental. The transform and scatter phases
-// accumulate into the feature/dct and feature/zigzag stage summaries, one
-// observation per clip (aggregated across its blocks).
+// structural rather than coincidental. The whole block loop (gather,
+// transform, zig-zag scatter) is timed once per clip into the feature/dct
+// stage summary: one clock read pair per clip, not per block.
 func extractFromImage(im *raster.Image, b int, cfg TensorConfig) (*tensor.Tensor, error) {
 	n := cfg.Blocks
 	enc, err := cfg.NewBlockEncoder(b)
@@ -234,27 +243,22 @@ func extractFromImage(im *raster.Image, b int, cfg TensorConfig) (*tensor.Tensor
 	out := tensor.New(cfg.K, n, n)
 	block := make([]float64, b*b)
 	vec := make([]float64, cfg.K)
-	var dctTime, zigTime time.Duration
+	watch := obs.NewStopwatch()
 	for by := 0; by < n; by++ {
 		for bx := 0; bx < n; bx++ {
 			for y := 0; y < b; y++ {
 				srcRow := (by*b + y) * im.W
 				copy(block[y*b:(y+1)*b], im.Pix[srcRow+bx*b:srcRow+bx*b+b])
 			}
-			dctWatch := obs.NewStopwatch()
 			if err := enc.EncodeInto(vec, block); err != nil {
 				return nil, err
 			}
-			dctTime += dctWatch.Elapsed()
-			zigWatch := obs.NewStopwatch()
 			for i := 0; i < cfg.K; i++ {
 				out.Set(vec[i], i, by, bx)
 			}
-			zigTime += zigWatch.Elapsed()
 		}
 	}
-	obs.Default().Stage("feature/dct").ObserveDuration(dctTime)
-	obs.Default().Stage("feature/zigzag").ObserveDuration(zigTime)
+	obs.Default().Stage("feature/dct").ObserveDuration(watch.Elapsed())
 	return out, nil
 }
 

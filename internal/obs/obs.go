@@ -148,13 +148,17 @@ func (r *Registry) SetStageMetric(name string) {
 // error (two call sites fighting over one name) and panics, matching the
 // fail-fast registration convention of every metrics library; any test
 // that touches the path catches it.
-func (r *Registry) get(name string, labels []Label, k kind) *series {
+//
+// histKey and gaugeFmt are the IntHist and Gauge rendering parameters.
+// They are fixed when the series is created, under the registry lock, so
+// a scrape can read them without racing a later getter call.
+func (r *Registry) get(name string, labels []Label, k kind, histKey string, gaugeFmt int) *series {
 	id := name + renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s, ok := r.series[id]
 	if !ok {
-		s = &series{name: name, labels: labels, id: id, kind: k}
+		s = &series{name: name, labels: labels, id: id, kind: k, histKey: histKey, gaugeFmt: gaugeFmt}
 		switch k {
 		case kindCounter:
 			s.counter = &Counter{}
@@ -175,32 +179,28 @@ func (r *Registry) get(name string, labels []Label, k kind) *series {
 
 // Counter returns the (monotone) counter series, creating it on first use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	return r.get(name, labels, kindCounter).counter
+	return r.get(name, labels, kindCounter, "", 0).counter
 }
 
 // Gauge returns a settable gauge series rendered with prec decimals
-// (prec < 0 renders the value as an integer), creating it on first use.
+// (prec < 0 renders the value as an integer), creating it on first use;
+// the first call's prec is the one that renders.
 func (r *Registry) Gauge(name string, prec int, labels ...Label) *Gauge {
-	s := r.get(name, labels, kindGauge)
-	s.gaugeFmt = prec
-	return s.gauge
+	return r.get(name, labels, kindGauge, "", prec).gauge
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time by
 // fn (which must not touch this registry, or the scrape deadlocks).
 // Calling it again for the same series replaces the function.
 func (r *Registry) GaugeFunc(name string, prec int, fn func() float64, labels ...Label) {
-	s := r.get(name, labels, kindGauge)
-	s.gaugeFmt = prec
-	s.gauge.setFunc(fn)
+	r.get(name, labels, kindGauge, "", prec).gauge.setFunc(fn)
 }
 
 // IntHist returns an exact integer histogram series whose buckets render
-// as labelKey="<value>" entries, creating it on first use.
+// as labelKey="<value>" entries, creating it on first use (the first
+// call's labelKey is the one that renders).
 func (r *Registry) IntHist(name, labelKey string, labels ...Label) *IntHist {
-	s := r.get(name, labels, kindIntHist)
-	s.histKey = labelKey
-	return s.hist
+	return r.get(name, labels, kindIntHist, labelKey, 0).hist
 }
 
 // Summary returns a sliding-window quantile summary series (window <= 0

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"hash/maphash"
+	"math"
 	"testing"
 	"time"
 
@@ -124,23 +126,58 @@ func TestClipCacheLRU(t *testing.T) {
 	}
 }
 
-// TestHashImageDistinguishes: images differing in one pixel bit or in
-// shape hash differently, and hashing is reproducible.
+// TestHashImageDistinguishes: equal pixels give equal keys under one seed;
+// flipping any one of the 64 bits of any pixel (sign and exponent
+// included) changes the key; swapping W and H changes the key; and the
+// image is large enough to span several stack-buffer flushes.
 func TestHashImageDistinguishes(t *testing.T) {
-	a := raster.NewImage(8, 8)
-	a.Set(3, 4, 0.25)
-	b := a.Clone()
-	if hashImage(a) != hashImage(b) {
+	seed := maphash.MakeSeed()
+	const w, h = 24, 23 // 552 pixels: one full 4 KB buffer plus a tail
+	a := raster.NewImage(w, h)
+	for i := range a.Pix {
+		a.Pix[i] = float64(i%5) / 4
+	}
+	key := hashImage(seed, a)
+	if hashImage(seed, a.Clone()) != key {
 		t.Fatal("equal images hash differently")
 	}
-	b.Set(3, 4, 0.250000000000001)
-	if hashImage(a) == hashImage(b) {
-		t.Fatal("a one-ulp pixel change did not change the hash")
+	b := a.Clone()
+	for i := range b.Pix {
+		orig := b.Pix[i]
+		for bit := 0; bit < 64; bit++ {
+			b.Pix[i] = math.Float64frombits(math.Float64bits(orig) ^ 1<<bit)
+			if hashImage(seed, b) == key {
+				t.Fatalf("flipping bit %d of pixel %d did not change the key", bit, i)
+			}
+		}
+		b.Pix[i] = orig
 	}
 	wide := raster.NewImage(16, 4) // same pixel count, different shape
 	tall := raster.NewImage(4, 16)
-	if hashImage(wide) == hashImage(tall) {
-		t.Fatal("shape is not part of the hash")
+	if hashImage(seed, wide) == hashImage(seed, tall) {
+		t.Fatal("swapping W and H did not change the key")
+	}
+}
+
+// TestHashImageZeroAlloc: keying a served 300×300 core allocates nothing.
+func TestHashImageZeroAlloc(t *testing.T) {
+	seed := maphash.MakeSeed()
+	im := raster.NewImage(300, 300)
+	if a := testing.AllocsPerRun(20, func() { _ = hashImage(seed, im) }); a != 0 {
+		t.Fatalf("hashImage allocates %v times per call", a)
+	}
+}
+
+// BenchmarkHashImage times the cache key of one 300×300 core.
+func BenchmarkHashImage(b *testing.B) {
+	seed := maphash.MakeSeed()
+	im := raster.NewImage(300, 300)
+	for i := range im.Pix {
+		im.Pix[i] = float64(i%3) / 2
+	}
+	b.SetBytes(int64(8 * len(im.Pix)))
+	for i := 0; i < b.N; i++ {
+		_ = hashImage(seed, im)
 	}
 }
 

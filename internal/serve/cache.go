@@ -2,6 +2,8 @@ package serve
 
 import (
 	"container/list"
+	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"sync"
 
@@ -97,28 +99,31 @@ func (c *clipCache) len() int {
 	return c.order.Len()
 }
 
-// hashImage fingerprints a rasterized core window with FNV-1a over the
-// dimensions and the bit patterns of every pixel. Rasterization is
-// deterministic, so two requests for the same geometry at the same
-// resolution hash identically; the bit-pattern basis means the key —
-// unlike any rounded representation — can never merge clips whose tensors
-// would differ.
-func hashImage(im *raster.Image) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= (v >> shift) & 0xff
-			h *= prime64
-		}
-	}
-	mix(uint64(im.W))
-	mix(uint64(im.H))
+// hashImage fingerprints a rasterized core window: maphash, keyed by the
+// server's seed, over the dimensions and the bit patterns of every pixel,
+// streamed through a stack buffer. Rasterization is deterministic, so two
+// requests for the same geometry at the same resolution hash identically;
+// the bit-pattern basis means the key — unlike any rounded representation
+// — can never merge clips whose tensors would differ. The per-server seed
+// keeps keys unpredictable from outside, so a client cannot craft a bitmap
+// that collides with another clip's cached verdict.
+//
+//hsd:noalloc
+func hashImage(seed maphash.Seed, im *raster.Image) uint64 {
+	var h maphash.Hash
+	h.SetSeed(seed) //hsd:allow alloclint the inlined zero-seed panic boxes a constant string, which is static data, not a heap allocation; New never leaves the seed zero
+	var buf [4096]byte
+	binary.LittleEndian.PutUint64(buf[0:], uint64(im.W))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(im.H))
+	n := 16
 	for _, p := range im.Pix {
-		mix(math.Float64bits(p))
+		if n == len(buf) {
+			_, _ = h.Write(buf[:])
+			n = 0
+		}
+		binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(p))
+		n += 8
 	}
-	return h
+	_, _ = h.Write(buf[:n])
+	return h.Sum64()
 }

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/http"
 	"sync"
@@ -123,6 +124,7 @@ type Server struct {
 	cfg     Config
 	model   atomic.Pointer[model]
 	cache   *clipCache
+	seed    maphash.Seed // keys the clip cache's hashImage
 	metrics *metrics
 	batcher *batcher
 	tracer  *trace.Tracer // nil when tracing is dark
@@ -144,6 +146,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		cache: newClipCache(cfg.CacheSize),
+		seed:  maphash.MakeSeed(),
 	}
 	if cfg.Trace != nil {
 		s.tracer = trace.New(*cfg.Trace)
@@ -259,9 +262,11 @@ const maxBatchClips = 1024
 // --- request pipeline ---
 
 // coreImage turns a request clip into the rasterized core window the
-// pipeline operates on, mirroring feature.ExtractTensor's geometry exactly
-// (rasterize the full clip, crop the core) so served predictions are
-// bit-identical to offline ones.
+// pipeline operates on, through feature.ExtractCoreImage — the same
+// geometry feature.ExtractTensor uses — so served predictions are
+// bit-identical to offline ones. Only the core window is rasterized, and
+// an explicit core may not exceed Config.CoreSide, so the raster cost of a
+// request is bounded by the configuration whatever its frame's size.
 func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 	cfg := s.cfg.Feature
 	if cr.Bitmap != nil {
@@ -301,8 +306,8 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 	if core.W() != core.H() || core.Empty() {
 		return nil, fmt.Errorf("core %+v must be square and non-empty", core)
 	}
-	if !frame.ContainsRect(core) {
-		return nil, fmt.Errorf("core %+v outside clip frame %+v", core, frame)
+	if core.W() > s.cfg.CoreSide {
+		return nil, fmt.Errorf("core side %d nm exceeds the %d nm limit", core.W(), s.cfg.CoreSide)
 	}
 	if err := cfg.ValidateCore(core.W()); err != nil {
 		return nil, err
@@ -316,7 +321,7 @@ func (s *Server) coreImage(cr ClipRequest) (*raster.Image, error) {
 // for single predicts, the per-clip span for batch requests); nil spans
 // no-op.
 func (s *Server) predictOne(ctx context.Context, im *raster.Image, qparent *trace.Span) (PredictResponse, error) {
-	key := hashImage(im)
+	key := hashImage(s.seed, im)
 	if p, ok := s.cache.get(key); ok {
 		s.metrics.cache(true)
 		qparent.SetBool("cache_hit", true)
@@ -450,7 +455,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	var waits []pending
 	hits := 0
 	for i, im := range ims {
-		key := hashImage(im)
+		key := hashImage(s.seed, im)
 		if p, ok := s.cache.get(key); ok {
 			s.metrics.cache(true)
 			hits++

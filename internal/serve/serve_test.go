@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -266,6 +267,60 @@ func TestBitmapInputParity(t *testing.T) {
 		if math.Float64bits(bmPr.Prob) != math.Float64bits(geomPr.Prob) {
 			t.Fatalf("clip %d: bitmap %v != geometry %v", i, bmPr.Prob, geomPr.Prob)
 		}
+	}
+}
+
+// TestHugeFrameDefaultCore is the unbounded-frame regression: a 400 µm
+// frame (10¹⁰ pixels at 4 nm/px if rasterized whole) with the default core
+// is answered, allocates on the order of the core window only, and gets
+// the same bits as the same geometry in a small frame around that core.
+func TestHugeFrameDefaultCore(t *testing.T) {
+	cfg := testConfig()
+	srv, _ := newTestServer(t, cfg, 5)
+	const side = 400_000
+	core := serve.CenteredCore(geom.R(0, 0, side, side), cfg.CoreSide)
+	small := geom.R(core.X0-144, core.Y0-144, core.X1+144, core.Y1+144)
+	wires := []geom.Rect{
+		geom.R(0, core.Y0+40, side, core.Y0+72),                // crosses the whole frame
+		geom.R(core.X0+100, core.Y0-500, core.X0+132, core.Y1), // enters from below
+		geom.R(10, 10, 2000, 2000),                             // far from the core
+	}
+	post := func(frame geom.Rect) serve.PredictResponse {
+		t.Helper()
+		body, err := json.Marshal(clipRequest(geom.NewClip(frame, wires)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("frame %v: status %d: %s", frame, rec.Code, rec.Body.String())
+		}
+		return decodePredict(t, rec.Body.Bytes())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	huge := post(geom.R(0, 0, side, side))
+	runtime.ReadMemStats(&after)
+	// A 48×48 core is 18 KB of pixels; the whole request, JSON and
+	// tensor included, stays far below a single 1 MB frame row.
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("huge-frame request allocated %d B, want under 1 MiB", got)
+	}
+	x, err := feature.ExtractTensor(geom.NewClip(small, wires), core, cfg.Feature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := train.PredictProb(testNet(t, 5), x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(huge.Prob) != math.Float64bits(want) {
+		t.Fatalf("huge frame prob %v, offline small-frame prob %v", huge.Prob, want)
+	}
+	// Equal core pixels share a cache key, whatever the frame.
+	if again := post(small); !again.Cached || math.Float64bits(again.Prob) != math.Float64bits(want) {
+		t.Fatalf("small frame after huge: %+v, want a cache hit with prob %v", again, want)
 	}
 }
 
@@ -601,6 +656,7 @@ func TestRequestValidation(t *testing.T) {
 		{"core outside frame", `{"frame":{"x0":0,"y0":0,"x1":480,"y1":480},"core":{"x0":400,"y0":400,"x1":592,"y1":592}}`},
 		{"non-square core", `{"frame":{"x0":0,"y0":0,"x1":480,"y1":480},"core":{"x0":0,"y0":0,"x1":192,"y1":96}}`},
 		{"indivisible core", `{"frame":{"x0":0,"y0":0,"x1":480,"y1":480},"core":{"x0":0,"y0":0,"x1":100,"y1":100}}`},
+		{"core above CoreSide", `{"frame":{"x0":0,"y0":0,"x1":400000,"y1":400000},"core":{"x0":0,"y0":0,"x1":384000,"y1":384000}}`},
 		{"bitmap size mismatch", `{"bitmap":{"w":48,"h":48,"pix":[0,1]}}`},
 		{"bitmap not square", `{"bitmap":{"w":48,"h":32,"pix":[]}}`},
 		{"bitmap plus geometry", `{"frame":{"x0":0,"y0":0,"x1":480,"y1":480},"bitmap":{"w":48,"h":48,"pix":[]}}`},

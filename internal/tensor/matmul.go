@@ -19,6 +19,7 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 }
 
 // MatMulInto computes out = a · b for rank-2 operands, reusing out's buffer.
+//
 //hsd:hotpath
 func MatMulInto(out, a, b *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 || out.Rank() != 2 {
@@ -71,6 +72,7 @@ func SparseSkip(a []float64) bool { return sparseWorthwhile(a) }
 // differ in the last bits between *different inputs*, but the gate is a
 // pure function of the data — the same operands always take the same path,
 // keeping every caller bit-reproducible.
+//
 //hsd:noalloc
 func matmulInto(out, a, b []float64, m, k, n int) {
 	matmulBiasInto(out, a, b, nil, m, k, n)
@@ -82,6 +84,7 @@ func matmulInto(out, a, b []float64, m, k, n int) {
 // instead of in a second pass over the whole output. Each element's value
 // is (full dot product) + bias, exactly the sum the two-pass form produces,
 // so results are bit-identical to matmul-then-broadcast.
+//
 //hsd:hotpath
 //hsd:noalloc
 func matmulBiasInto(out, a, b, bias []float64, m, k, n int) {
@@ -147,6 +150,7 @@ func matmulBiasInto(out, a, b, bias []float64, m, k, n int) {
 // bit-identical to MatMulInto followed by a row-wise bias broadcast. The
 // convolution forward path uses this to fold its bias into the im2col
 // product walk.
+//
 //hsd:hotpath
 func MatMulBiasInto(out, a, b, bias *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 || out.Rank() != 2 || bias.Rank() != 1 {
@@ -201,6 +205,7 @@ func MatVec(a, x *Tensor) (*Tensor, error) {
 // MatVecInto computes out = a·x for a rank-2 a (m, k) and rank-1 x (k),
 // reusing out's buffer (rank-1, length m). Used by the fully connected
 // layer's allocation-free forward path.
+//
 //hsd:hotpath
 func MatVecInto(out, a, x *Tensor) error {
 	if a.Rank() != 2 || x.Rank() != 1 || out.Rank() != 1 {
@@ -225,6 +230,7 @@ func MatVecInto(out, a, x *Tensor) error {
 // MatMulATInto computes out = aᵀ · b for a (k, m) and b (k, n) without
 // materializing the transpose; out must be (m, n). Used by convolution
 // backward to form input gradients.
+//
 //hsd:hotpath
 func MatMulATInto(out, a, b *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 || out.Rank() != 2 {
@@ -291,6 +297,7 @@ func MatMulATInto(out, a, b *Tensor) error {
 // MatMulBTAddInto computes out += a · bᵀ for a (m, k) and b (n, k) without
 // materializing the transpose; out must be (m, n). Used by convolution
 // backward to accumulate weight gradients.
+//
 //hsd:hotpath
 func MatMulBTAddInto(out, a, b *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 || out.Rank() != 2 {
@@ -317,6 +324,7 @@ func MatMulBTAddInto(out, a, b *Tensor) error {
 }
 
 // Im2ColInto is Im2Col writing into a preallocated (C*KH*KW, OH*OW) tensor.
+//
 //hsd:hotpath
 func Im2ColInto(out, in *Tensor, kh, kw, stride, pad int) error {
 	if in.Rank() != 3 || out.Rank() != 2 {

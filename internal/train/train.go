@@ -177,6 +177,7 @@ func sampleSeed(seed, counter int64) int64 {
 // sampleGrad runs one training sample through net (forward, loss, backward)
 // with its dropout stream reseeded from the sample's global counter.
 // Gradients accumulate into net's current Param.Grad tensors.
+//
 //hsd:hotpath
 func sampleGrad(net *nn.Network, s Sample, yn, yh *tensor.Tensor, seed int64) (float64, error) {
 	target := yn

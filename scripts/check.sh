@@ -3,7 +3,10 @@
 #
 # Runs the legs every change must pass before merging:
 #   1. go build ./...        the tree compiles
-#   2. go vet ./...          stock toolchain analysis
+#   2. go vet ./...          stock toolchain analysis, and gofmt -l:
+#                            every file outside internal/lint/testdata
+#                            (whose fixtures pin directive placement)
+#                            must be gofmt-clean
 #   3. hsd-vet ./...         project contracts: determinism, numerics,
 #                            concurrency, errors, hot-path allocation,
 #                            observability clock policy
@@ -37,7 +40,7 @@
 #
 # Usage: scripts/check.sh [-short|-lint-only]
 #   -short      pass -short to go test (skips the slow experiment suites)
-#   -lint-only  run legs 1-3 only (build, vet, hsd-vet) — the fast
+#   -lint-only  run legs 1-3 only (build, vet + gofmt, hsd-vet) — the fast
 #               pre-commit loop; the analyzers alone catch contract
 #               breaches without waiting for the race suite
 set -euo pipefail
@@ -55,6 +58,14 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l"
+unformatted="$(gofmt -l . | grep -v '^internal/lint/testdata/' || true)"
+if [[ -n "${unformatted}" ]]; then
+    echo "gofmt: these files need formatting (run gofmt -w):" >&2
+    echo "${unformatted}" >&2
+    exit 1
+fi
 
 echo "==> hsd-vet ./..."
 go run ./cmd/hsd-vet ./...
