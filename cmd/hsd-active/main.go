@@ -169,15 +169,7 @@ func main() {
 		len(loop.Labeled()), loop.Budget().Spent(), active.WeightChecksum(net))
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = net.Save(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := obs.WriteFile(*out, net.Save); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *out)
@@ -191,28 +183,12 @@ func main() {
 		}
 	}
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = obs.Default().WriteText(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := obs.WriteFile(*metricsOut, obs.Default().WriteText); err != nil {
 			log.Fatal(err)
 		}
 	}
 	if tracer != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = tracer.WriteJSONL(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := obs.WriteFile(*traceOut, tracer.WriteJSONL); err != nil {
 			log.Fatal(err)
 		}
 	}

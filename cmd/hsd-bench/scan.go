@@ -161,7 +161,7 @@ func runScan(outPath string, cells, reps int, dirtyNM int, seed int64, workers i
 	edit := scanEdit(die, dirtyNM)
 
 	// Parity gates before any timing. The naive baseline needs its own
-	// evaluator: the scanner owns its replicas for the timed passes.
+	// evaluator: the scanner owns its engines for the timed passes.
 	ev, err := train.NewEvaluator(net, workers)
 	if err != nil {
 		return err

@@ -29,7 +29,6 @@ func main() {
 		model      = flag.String("model", "", "model file written by hsd-train (required)")
 		shift      = flag.Float64("shift", 0, "decision-boundary shift λ (Equation (11))")
 		workers    = flag.Int("workers", 0, "worker goroutines for extraction and inference (0 = GOMAXPROCS); metrics are identical for any value")
-		fusedOn    = flag.Bool("fused", true, "run inference on the compiled fused engine (bit-identical to the layer-by-layer path; disable to pin the layered path)")
 		metricsOut = flag.String("metrics-out", "", "dump the metrics registry as scrape text to this file at exit")
 	)
 	flag.Parse()
@@ -72,7 +71,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ev.SetFused(*fusedOn)
 	m, err := ev.EvalSet(testT, *shift)
 	if err != nil {
 		log.Fatal(err)
@@ -85,21 +83,8 @@ func main() {
 	fmt.Printf("%-10s %s\n", res.Benchmark, res.Row())
 
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut); err != nil {
+		if err := obs.WriteFile(*metricsOut, obs.Default().WriteText); err != nil {
 			log.Fatal(err)
 		}
 	}
-}
-
-// writeMetrics dumps the process metrics registry scrape text to path.
-func writeMetrics(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = obs.Default().WriteText(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

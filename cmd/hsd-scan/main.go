@@ -31,6 +31,7 @@ import (
 	"hotspot/internal/parallel"
 	"hotspot/internal/raster"
 	"hotspot/internal/scan"
+	"hotspot/internal/train"
 )
 
 // scanOutput is the -json document: the die, the pass statistics and the
@@ -81,15 +82,7 @@ func parseEdit(s string) (geom.Rect, error) {
 func writeHeat(path string, res *scan.Result) error {
 	im := raster.NewImage(res.WindowsX, res.WindowsY)
 	copy(im.Pix, res.Probs)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = im.WritePGM(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return obs.WriteFile(path, im.WritePGM)
 }
 
 func summarize(what string, res *scan.Result) {
@@ -128,6 +121,11 @@ func main() {
 	parallel.SetDefault(*workers)
 	obs.SetBuildInfo(obs.Default(), obs.L("tool", "hsd-scan"))
 
+	cfg := scan.DefaultConfig()
+	cfg.WindowNM = *window
+	cfg.Workers = *workers
+	cfg.Shift = *shift
+
 	var net *nn.Network
 	var err error
 	switch {
@@ -138,7 +136,7 @@ func main() {
 	default:
 		var f *os.File
 		if f, err = os.Open(*model); err == nil {
-			net, err = nn.Load(f)
+			net, err = train.LoadWarmStart(f, []int{cfg.Feature.K, cfg.Feature.Blocks, cfg.Feature.Blocks})
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -155,10 +153,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg := scan.DefaultConfig()
-	cfg.WindowNM = *window
-	cfg.Workers = *workers
-	cfg.Shift = *shift
 	var tracer *trace.Tracer
 	if *traceOut != "" {
 		tracer = trace.New(trace.Config{})
@@ -204,28 +198,12 @@ func main() {
 		}
 	}
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = obs.Default().WriteText(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := obs.WriteFile(*metricsOut, obs.Default().WriteText); err != nil {
 			log.Fatal(err)
 		}
 	}
 	if tracer != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = tracer.WriteJSONL(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := obs.WriteFile(*traceOut, tracer.WriteJSONL); err != nil {
 			log.Fatal(err)
 		}
 	}

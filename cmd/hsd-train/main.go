@@ -210,34 +210,13 @@ func main() {
 		}
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut); err != nil {
+		if err := obs.WriteFile(*metricsOut, obs.Default().WriteText); err != nil {
 			log.Fatal(err)
 		}
 	}
 	if tracer != nil {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = tracer.WriteJSONL(tf)
-		if cerr := tf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := obs.WriteFile(*traceOut, tracer.WriteJSONL); err != nil {
 			log.Fatal(err)
 		}
 	}
-}
-
-// writeMetrics dumps the process metrics registry scrape text to path.
-func writeMetrics(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = obs.Default().WriteText(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -43,9 +43,9 @@ import (
 // Anything else is waived case by case with `//hsd:allow hotlint <why>`;
 // the justification string is mandatory and machine-checked. A waiver
 // silences the finding on its line but the walk still continues past it —
-// to declare an entire call edge off the hot path (a lazy once-per-reload
-// compile, a once-per-evaluation resync), mark the call `//hsd:cold <why>`
-// instead and the reachability walk will not follow it.
+// to declare an entire call edge off the hot path (a once-per-reload
+// engine compile), mark the call `//hsd:cold <why>` instead and the
+// reachability walk will not follow it.
 var Hotlint = &Analyzer{
 	Name:       "hotlint",
 	Doc:        "walks the call graph from //hsd:hotpath roots and flags transitive hot-loop contract breaches",

@@ -28,11 +28,11 @@
 // geometry and on stride/pad edge cases.
 //
 // An Engine aliases the source network's parameter tensors rather than
-// copying them: weight updates (optimizer steps, train.Evaluator weight
-// syncs, checkpoint reloads that copy in place) are visible immediately.
-// An Engine is not safe for concurrent use — it owns one arena — so keep
-// one engine per worker, exactly like the per-worker network replicas of
-// train.Evaluator.
+// copying them: in-place weight updates (optimizer steps, best-snapshot
+// restores) are visible immediately. An Engine is not safe for concurrent
+// use — it owns one arena — so keep one engine per worker; engines
+// compiled from the same network share its read-only weights, which is
+// how train.Evaluator fans one network across its pool.
 package fused
 
 import (
@@ -90,8 +90,7 @@ type Engine struct {
 
 // Compile builds an engine executing net's inference forward pass for
 // inputs of exactly inShape. It returns an error for layer types it cannot
-// fuse (callers fall back to the layer-by-layer path) and for geometries
-// the network itself would reject.
+// fuse and for geometries the network itself would reject.
 func Compile(net *nn.Network, inShape []int) (*Engine, error) {
 	layers := net.Layers()
 	if len(layers) == 0 {

@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
-
-	"hotspot/internal/tensor"
+	"slices"
 )
 
 // layerSpec is the gob wire form of one layer.
@@ -114,6 +114,9 @@ func Load(r io.Reader) (*Network, error) {
 	rng := rand.New(rand.NewSource(0))
 	var layers []Layer
 	for i, s := range spec.Layers {
+		if err := checkPayload(s); err != nil {
+			return nil, fmt.Errorf("nn: layer %d (%s): %w", i, s.Name, err)
+		}
 		var l Layer
 		var err error
 		switch s.Kind {
@@ -125,31 +128,67 @@ func Load(r io.Reader) (*Network, error) {
 			l = NewMaxPool2(s.Name)
 		case "dense":
 			l, err = NewDense(s.Name, s.In, s.Out, rng)
-		case "dropout":
+		default: // "dropout"; checkPayload rejected unknown kinds
 			l, err = NewDropout(s.Name, s.Rate, s.Seed)
-		default:
-			return nil, fmt.Errorf("nn: unknown layer kind %q at %d", s.Kind, i)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("nn: rebuild layer %d (%s): %w", i, s.Name, err)
 		}
-		params := l.Params()
-		if len(params) != len(s.Weights) {
-			return nil, fmt.Errorf("nn: layer %s expects %d params, spec has %d", s.Name, len(params), len(s.Weights))
-		}
-		for j, p := range params {
-			w, err := tensor.FromSlice(append([]float64(nil), s.Weights[j]...), s.Shapes[j]...)
-			if err != nil {
-				return nil, fmt.Errorf("nn: layer %s param %d: %w", s.Name, j, err)
+		for j, p := range l.Params() {
+			if !slices.Equal(s.Shapes[j], p.W.Shape()) {
+				return nil, fmt.Errorf("nn: layer %s param %d shape %v, want %v", s.Name, j, s.Shapes[j], p.W.Shape())
 			}
-			if !tensor.SameShape(p.W, w) {
-				return nil, fmt.Errorf("nn: layer %s param %d shape %v, want %v", s.Name, j, w.Shape(), p.W.Shape())
-			}
-			copy(p.W.Data(), w.Data())
+			copy(p.W.Data(), s.Weights[j])
 		}
 		layers = append(layers, l)
 	}
 	return NewNetwork(layers...), nil
+}
+
+// checkPayload verifies a decoded layer spec's parameter payloads against
+// the dims the spec declares, before any layer is constructed: one
+// payload and one shape per parameter, each payload exactly as long as
+// the declared dims require. Layer constructors allocate from the
+// declared dims, so this bounds Load's allocation by the decoded input —
+// a hostile checkpoint cannot declare a terabyte dense layer over an
+// empty payload.
+func checkPayload(s layerSpec) error {
+	var want []int // element count of each parameter, in Params() order
+	switch s.Kind {
+	case "conv":
+		want = []int{paramLen(s.OutC, s.InC, s.K, s.K), paramLen(s.OutC)}
+	case "dense":
+		want = []int{paramLen(s.Out, s.In), paramLen(s.Out)}
+	case "relu", "maxpool", "dropout":
+	default:
+		return fmt.Errorf("unknown layer kind %q", s.Kind)
+	}
+	if len(s.Weights) != len(want) || len(s.Shapes) != len(want) {
+		return fmt.Errorf("%s layer carries %d param payloads and %d shapes, want %d",
+			s.Kind, len(s.Weights), len(s.Shapes), len(want))
+	}
+	for j, n := range want {
+		if n < 0 {
+			return fmt.Errorf("param %d: declared dims are negative or overflow", j)
+		}
+		if len(s.Weights[j]) != n {
+			return fmt.Errorf("param %d payload has %d values; declared dims need %d", j, len(s.Weights[j]), n)
+		}
+	}
+	return nil
+}
+
+// paramLen is the element count of a parameter with the given dims, or −1
+// when a dim is negative or the product overflows an int.
+func paramLen(dims ...int) int {
+	n := 1
+	for _, d := range dims {
+		if d < 0 || (d > 0 && n > math.MaxInt/d) {
+			return -1
+		}
+		n *= d
+	}
+	return n
 }
 
 // Clone deep-copies the network via a serialize/deserialize round trip.

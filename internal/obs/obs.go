@@ -30,6 +30,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -376,6 +377,23 @@ func (r *Registry) Text() string {
 // WriteText writes Text to w.
 func (r *Registry) WriteText(w io.Writer) error {
 	_, err := io.WriteString(w, r.Text())
+	return err
+}
+
+// WriteFile creates path, streams write into it and closes it, returning
+// the first error of the three: a failed Close on a file being written is
+// silent data loss, so it surfaces too. The commands' -metrics-out and
+// -trace-out dumps go through it (write = Registry.WriteText or
+// trace.Tracer.WriteJSONL).
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }
 

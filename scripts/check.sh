@@ -12,6 +12,10 @@
 #                            observability clock policy
 #                            (see DESIGN.md "Determinism & numerics rules")
 #   4. go test -race ./...   unit + parity tests under the race detector
+#   4b. fuzz FuzzLoad         10 s of native Go fuzzing on the checkpoint
+#                            decoder (nn.Load): hostile files must come
+#                            back as errors, never panics, and every
+#                            accepted network must round-trip through Save
 #   5. bench smoke           hsd-bench -exp infer with a few fixed reps:
 #                            gates fused-vs-layered bit parity on every
 #                            Table 1 geometry before timing anything, so a
@@ -77,6 +81,9 @@ fi
 
 echo "==> go test -race ${short} ./..."
 go test -race ${short} ./...
+
+echo "==> fuzz FuzzLoad (checkpoint decoder)"
+go test ./internal/nn -run '^$' -fuzz '^FuzzLoad$' -fuzztime 10s
 
 echo "==> infer bench smoke (fused/layered parity gate)"
 infer_tmp="$(mktemp)"
